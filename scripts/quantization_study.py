@@ -3,24 +3,16 @@
 
 Reports test-split PSNR for the float model, weight-only 8-bit, and
 weight+activation 8-bit, plus the payload compression ratio. Expects a
-checkpoint and dataset produced by run_desk_experiment.py (or the CLI).
+checkpoint and dataset produced by the CLI (see README).
 """
 
 import argparse
 import sys
 
-import numpy as np
-
-from ridgenet import metrics as MM
-from ridgenet import model as M
 from ridgenet import quantize as Q
 from ridgenet import synth as S
-from ridgenet.tensor import Tensor4
+from ridgenet.evaluate import evaluate
 from ridgenet.train import load_checkpoint_model, load_split
-
-
-def mean_psnr(pred, clean):
-    return float(np.mean([MM.psnr(p[0], c[0]) for p, c in zip(pred, clean)]))
 
 
 def main() -> int:
@@ -36,35 +28,21 @@ def main() -> int:
     manifest, root = S.load_manifest(args.manifest)
     noisy, clean, _ = load_split(manifest, root, "test")
     calib, _, _ = load_split(manifest, root, "train")
+    models = [
+        ("float", graph),
+        ("weight_only", Q.quantize_model(graph, Q.QuantSpec(args.bits, "weight_only"))),
+        ("weight_and_activations",
+         Q.quantize_model(graph, Q.QuantSpec(args.bits, "weight_and_activations"),
+                          calib[:args.calib_samples])),
+    ]
 
-    def predict(fwd):
-        out = []
-        for lo in range(0, noisy.shape[0], args.batch_size):
-            out.append(fwd(noisy[lo:lo + args.batch_size]).main.data)
-        return np.concatenate(out)
-
-    float_psnr = mean_psnr(predict(
-        lambda b: M.forward(graph, Tensor4(b), inference=True)), clean)
-
-    wq = Q.quantize_model(graph, Q.QuantSpec(args.bits, "weight_only"))
-    g_wq = wq.dequantized_graph()
-    wq_psnr = mean_psnr(predict(
-        lambda b: M.forward(g_wq, Tensor4(b), inference=True)), clean)
-
-    waq = Q.quantize_model(graph, Q.QuantSpec(args.bits, "weight_and_activations"),
-                           calib[:args.calib_samples])
-    g_waq = waq.dequantized_graph()
-    waq_psnr = mean_psnr(predict(
-        lambda b: Q.quantized_forward(waq, b, g_waq)), clean)
-
-    rep = Q.size_report(graph, Q.QuantSpec(args.bits, "weight_only"))
+    psnrs = {mode: evaluate(model, noisy, clean, args.batch_size).psnr
+             for mode, model in models}
     print(f"{'mode':<24} {'psnr_db':>9} {'drop_db':>9}")
-    print(f"{'float':<24} {float_psnr:>9.4f} {0.0:>9.4f}")
-    print(f"{'weight_only':<24} {wq_psnr:>9.4f} {float_psnr - wq_psnr:>9.4f}")
-    print(f"{'weight_and_activations':<24} {waq_psnr:>9.4f} "
-          f"{float_psnr - waq_psnr:>9.4f}")
+    for mode, psnr in psnrs.items():
+        print(f"{mode:<24} {psnr:>9.4f} {psnrs['float'] - psnr:>9.4f}")
     print()
-    print(rep.render_text(), end="")
+    print(Q.size_report(graph, Q.QuantSpec(args.bits, "weight_only")).render_text(), end="")
     return 0
 
 

@@ -13,21 +13,15 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import model as M
 from . import quantize as Q
-from .config import TrainConfig, load_config
-from .metrics import metric_report
+from .config import load_config
+from .evaluate import evaluate
 from .pgm import read_pgm, write_pgm
 from .synth import NoiseParams, load_manifest, write_dataset
 from .tensor import Tensor4
-from .train import (load_checkpoint_model, load_split, loss_trace_compare,
+from .train import (_fmt, load_checkpoint_model, load_split, loss_trace_compare,
                     read_trace, train)
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 # ---------------------------------------------------------------------------
@@ -66,21 +60,6 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------------------
 # eval
 
-def _denoise_batch(graph, noisy: np.ndarray) -> np.ndarray:
-    out = M.forward(graph, Tensor4(noisy), inference=True)
-    return out.main.data
-
-
-def _mean_metrics(pred: np.ndarray, clean: np.ndarray) -> tuple[float, float, float]:
-    reports = [metric_report(p[0], c[0]) for p, c in zip(pred, clean)]
-    mses = [r.mse for r in reports]
-    ssims = [r.ssim for r in reports]
-    psnrs = [r.psnr for r in reports]
-    mean_psnr = math.inf if any(math.isinf(p) for p in psnrs) \
-        else sum(psnrs) / len(psnrs)
-    return sum(mses) / len(mses), sum(ssims) / len(ssims), mean_psnr
-
-
 def _improvement(value: float, base: float) -> float:
     if base == 0.0:
         return 0.0 if value == base else math.inf
@@ -91,18 +70,12 @@ def cmd_eval(args) -> int:
     manifest, root = load_manifest(args.manifest)
     noisy, clean, _ = load_split(manifest, root, args.split)
 
-    rows = []  # (label, mse, ssim, psnr)
-    base = _mean_metrics(noisy, clean)
-    rows.append(("no_enhance", *base))
+    base = evaluate(None, noisy, clean)
+    rows = [("no_enhance", *base)]  # (label, mse, ssim, psnr)
     for ckpt in args.checkpoints:
-        graph = load_checkpoint_model(ckpt)
-        preds = []
-        for lo in range(0, noisy.shape[0], args.batch_size):
-            preds.append(_denoise_batch(graph, noisy[lo:lo + args.batch_size]))
-        pred = np.concatenate(preds)
+        scores = evaluate(load_checkpoint_model(ckpt), noisy, clean, args.batch_size)
         rows.append((Path(ckpt).name if Path(ckpt).name != "final"
-                     else Path(ckpt).parent.parent.name or "final",
-                     *_mean_metrics(pred, clean)))
+                     else Path(ckpt).parent.parent.name or "final", *scores))
 
     header = ["model", "mse", "ssim", "psnr", "impr_mse", "impr_ssim", "impr_psnr"]
     table = [f"{'model':<28} {'mse':>10} {'ssim':>8} {'psnr':>9} "

@@ -17,6 +17,7 @@ the main branch as guidance.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -75,11 +76,18 @@ class Outputs(NamedTuple):
     main: Tensor4
 
 
-class ModelGraph:
-    """Parameter registry plus the static structure of one variant."""
+# One step of a variant's layer program; forward() interprets them in order:
+#   ("conv", name, act)  3x3 conv unit, then act ("relu" | "sigmoid" | None)
+#   ("block", spec)      scaled residual block
+#   ("save", key)        keep the current value as `key` (bfm, trunk, binary)
+#   ("concat", a, b)     channel concat of two values; "x" is the current one
+Step = tuple
 
-    def __init__(self, variant: str, policy: ScalingPolicy, base_channels: int,
-                 dtype=np.float64):
+
+class ModelGraph:
+    """Parameter registry plus the layer program of one variant."""
+
+    def __init__(self, variant: str, policy: ScalingPolicy, base_channels: int):
         if variant not in VARIANTS:
             raise ValueError(f"unknown variant {variant!r}")
         if base_channels < 8:
@@ -87,38 +95,13 @@ class ModelGraph:
         self.variant = variant
         self.policy = policy
         self.base_channels = base_channels
-        self.dtype = dtype
         self.params: dict[str, Tensor4] = {}
         self.phase1_names: set[str] = set()
-        self.blocks: list[BlockSpec] = []
-        self._layer_in_out: dict[str, tuple[int, int]] = {}
+        self.program: list[Step] = []
 
-    # -- construction ------------------------------------------------------
-
-    def _add_conv(self, name: str, cin: int, cout: int, rng: np.random.Generator,
-                  init: str, phase1: bool) -> None:
-        fan_in = cin * 9
-        if init == "kaiming":
-            std = float(np.sqrt(2.0 / fan_in))
-        elif init == "xavier":
-            std = float(np.sqrt(2.0 / (fan_in + cout * 9)))
-        else:
-            raise ValueError(init)
-        w = rng.normal(0.0, std, size=(cout, cin, 3, 3))
-        self.params[f"{name}.w"] = Tensor4(w, requires_grad=True, dtype=self.dtype)
-        self.params[f"{name}.b"] = Tensor4(np.zeros((1, cout, 1, 1)),
-                                           requires_grad=True, dtype=self.dtype)
-        self._layer_in_out[name] = (cin, cout)
-        if phase1:
-            self.phase1_names.update({f"{name}.w", f"{name}.b"})
-
-    def _add_block(self, spec: BlockSpec, rng: np.random.Generator, phase1: bool) -> None:
-        init = "xavier" if spec.activation == "sigmoid" else "kaiming"
-        self._add_conv(f"{spec.name}.conv1", spec.channels, spec.channels, rng, init, phase1)
-        self._add_conv(f"{spec.name}.conv2", spec.channels, spec.channels, rng, init, phase1)
-        self.blocks.append(spec)
-
-    # -- introspection ------------------------------------------------------
+    @property
+    def blocks(self) -> list[BlockSpec]:
+        return [step[1] for step in self.program if step[0] == "block"]
 
     def parameter_count(self) -> int:
         return sum(p.data.size for p in self.params.values())
@@ -134,157 +117,120 @@ class ModelGraph:
 
 def build(variant: str, policy: ScalingPolicy, base_channels: int = 64,
           seed: int = 0, dtype=np.float64) -> ModelGraph:
-    g = ModelGraph(variant, policy, base_channels, dtype)
+    """Emit the variant's layer program and draw its parameters in program
+    order. Phase 1 trains every layer before the binary output is saved."""
+    g = ModelGraph(variant, policy, base_channels)
     rng = np.random.default_rng(seed)
-    c = base_channels
+    width = {"x": 1}  # channels of the current value and of each saved one
 
+    def add_conv(name: str, cout: int, act: Optional[str]) -> None:
+        # kaiming for relu layers, xavier for sigmoid and linear ones
+        cin = width["x"]
+        fan = cin * 9 if act == "relu" else (cin + cout) * 9
+        w = rng.normal(0.0, float(np.sqrt(2.0 / fan)), size=(cout, cin, 3, 3))
+        g.params[f"{name}.w"] = Tensor4(w, requires_grad=True, dtype=dtype)
+        g.params[f"{name}.b"] = Tensor4(np.zeros((1, cout, 1, 1)),
+                                        requires_grad=True, dtype=dtype)
+        if variant == "block84_multitask" and "binary" not in width:
+            g.phase1_names.update({f"{name}.w", f"{name}.b"})
+        width["x"] = cout
+
+    def conv(name: str, cout: int, act: Optional[str]) -> None:
+        add_conv(name, cout, act)
+        g.program.append(("conv", name, act))
+
+    def blocks(scope: str, stages: range, act: str) -> None:
+        c = width["x"]
+        for s in stages:
+            spec = BlockSpec(f"{scope}.s{s:02d}", s, c, act, epsilon(policy, s), scope)
+            add_conv(f"{spec.name}.conv1", c, act)
+            add_conv(f"{spec.name}.conv2", c, act)
+            g.program.append(("block", spec))
+
+    def save(key: str) -> None:
+        width[key] = width["x"]
+        g.program.append(("save", key))
+
+    def concat(a: str, b: str) -> None:
+        width["x"] = width[a] + width[b]
+        g.program.append(("concat", a, b))
+
+    c = base_channels
+    conv("stem1", c, "relu")
+    conv("stem2", c, "relu")
+    save("bfm")
     if variant == "block84_multitask":
-        g._add_conv("stem1", 1, c, rng, "kaiming", phase1=True)
-        g._add_conv("stem2", c, c, rng, "kaiming", phase1=True)
-        for s in range(1, 25):
-            g._add_block(BlockSpec(f"shared.s{s:02d}", s, c, "relu",
-                                   epsilon(policy, s), "shared"), rng, phase1=True)
-        for s in range(25, 61):
-            g._add_block(BlockSpec(f"binary.s{s:02d}", s, c, "sigmoid",
-                                   epsilon(policy, s), "binary"), rng, phase1=True)
-        g._add_conv("binary_bfm_adapter", 2 * c, c, rng, "kaiming", phase1=True)
-        g._add_conv("binary_head", c, 1, rng, "xavier", phase1=True)
-        g._add_conv("main_in_adapter", c + 1, c, rng, "kaiming", phase1=False)
+        blocks("shared", range(1, 25), "relu")
+        save("trunk")
+        blocks("binary", range(25, 61), "sigmoid")
+        concat("x", "bfm")
+        conv("binary_bfm_adapter", c, "relu")
+        conv("binary_head", 1, "sigmoid")
+        save("binary")
+        concat("trunk", "binary")
+        conv("main_in_adapter", c, "relu")
         # with alpha=85 every stage stays positive only if the main branch
         # is numbered after the binary branch (61-84); other policies use 25-48
         start = 61 if (policy.kind == "all_positive" and policy.alpha == 85) else 25
-        for s in range(start, start + 24):
-            g._add_block(BlockSpec(f"main.s{s:02d}", s, c, "relu",
-                                   epsilon(policy, s), "main"), rng, phase1=False)
-        g._add_conv("main_bfm_adapter", 2 * c, c, rng, "kaiming", phase1=False)
-        g._add_conv("main_head", c, 1, rng, "xavier", phase1=False)
-
+        blocks("main", range(start, start + 24), "relu")
     elif variant == "block84_singletask":
-        g._add_conv("stem1", 1, c, rng, "kaiming", phase1=False)
-        g._add_conv("stem2", c, c, rng, "kaiming", phase1=False)
-        for s in range(1, 61):
-            g._add_block(BlockSpec(f"main.s{s:02d}", s, c, "relu",
-                                   epsilon(policy, s), "main"), rng, phase1=False)
-        g._add_conv("mid_bfm_adapter", 2 * c, c, rng, "kaiming", phase1=False)
-        for s in range(61, 85):
-            g._add_block(BlockSpec(f"main.s{s:02d}", s, c, "relu",
-                                   epsilon(policy, s), "main"), rng, phase1=False)
-        g._add_conv("main_bfm_adapter", 2 * c, c, rng, "kaiming", phase1=False)
-        g._add_conv("main_head", c, 1, rng, "xavier", phase1=False)
-
+        blocks("main", range(1, 61), "relu")
+        concat("x", "bfm")
+        conv("mid_bfm_adapter", c, "relu")
+        blocks("main", range(61, 85), "relu")
     else:  # edge
-        c2 = c // 2
-        g._add_conv("stem1", 1, c, rng, "kaiming", phase1=False)
-        g._add_conv("stem2", c, c, rng, "kaiming", phase1=False)
-        for s in range(1, 29):
-            g._add_block(BlockSpec(f"main.s{s:02d}", s, c, "relu",
-                                   epsilon(policy, s), "main"), rng, phase1=False)
-        g._add_conv("transition", c, c2, rng, "kaiming", phase1=False)
-        for s in range(29, 33):
-            g._add_block(BlockSpec(f"main.s{s:02d}", s, c2, "relu",
-                                   epsilon(policy, s), "main"), rng, phase1=False)
-        g._add_conv("main_bfm_adapter", c + c2, c2, rng, "kaiming", phase1=False)
-        g._add_conv("main_head", c2, 1, rng, "xavier", phase1=False)
-
+        blocks("main", range(1, 29), "relu")
+        conv("transition", c // 2, "relu")
+        blocks("main", range(29, 33), "relu")
+    out = width["x"]
+    concat("x", "bfm")
+    conv("main_bfm_adapter", out, "relu")
+    conv("main_head", 1, None)
     return g
 
 
 # ---------------------------------------------------------------------------
 # forward
 
-def _act(kind: Optional[str], x: Tensor4) -> Tensor4:
-    if kind == "relu":
-        return T.relu(x)
-    if kind == "sigmoid":
-        return T.sigmoid(x)
-    return x
-
-
 def _unit(g: ModelGraph, name: str, x: Tensor4, act: Optional[str],
           hook: Optional[ActHook]) -> Tensor4:
     out = T.conv2d(x, g.params[f"{name}.w"], g.params[f"{name}.b"])
-    out = _act(act, out)
+    if act == "relu":
+        out = T.relu(out)
+    elif act == "sigmoid":
+        out = T.sigmoid(out)
     return hook(name, out) if hook else out
 
 
 def _res_block(g: ModelGraph, spec: BlockSpec, x: Tensor4,
                hook: Optional[ActHook]) -> Tensor4:
-    h = T.conv2d(x, g.params[f"{spec.name}.conv1.w"], g.params[f"{spec.name}.conv1.b"])
-    h = _act(spec.activation, h)
-    if hook:
-        h = hook(f"{spec.name}.conv1", h)
-    h = T.conv2d(h, g.params[f"{spec.name}.conv2.w"], g.params[f"{spec.name}.conv2.b"])
-    if hook:
-        h = hook(f"{spec.name}.conv2", h)
+    h = _unit(g, f"{spec.name}.conv1", x, spec.activation, hook)
+    h = _unit(g, f"{spec.name}.conv2", h, None, hook)
     out = T.scaled_residual_add(x, h, spec.epsilon)
     return hook(f"{spec.name}.out", out) if hook else out
 
 
 def forward(g: ModelGraph, noisy: Tensor4, inference: bool = False,
             binary_only: bool = False, hook: Optional[ActHook] = None) -> Outputs:
-    """Run a variant. Returns (binary, main); binary is None for
-    single-output variants, main is None when binary_only."""
+    """Run a variant's layer program. Returns (binary, main); binary is None
+    for single-output variants, main is None when binary_only."""
     if noisy.shape[1] != 1:
         raise T.ShapeMismatchError(f"expected 1 input channel, got {noisy.shape}")
-    blocks = {b.name: b for b in g.blocks}
-
-    h = _unit(g, "stem1", noisy, "relu", hook)
-    bfm = _unit(g, "stem2", h, "relu", hook)
-
-    if g.variant == "block84_multitask":
-        s = bfm
-        for b in g.blocks:
-            if b.scope == "shared":
-                s = _res_block(g, b, s, hook)
-        bb = s
-        for b in g.blocks:
-            if b.scope == "binary":
-                bb = _res_block(g, b, bb, hook)
-        bb = T.concat_channels([bb, bfm])
-        bb = _unit(g, "binary_bfm_adapter", bb, "relu", hook)
-        binary_out = _unit(g, "binary_head", bb, "sigmoid", hook)
-        if binary_only:
-            return Outputs(binary_out, None)
-        m = T.concat_channels([s, binary_out])
-        m = _unit(g, "main_in_adapter", m, "relu", hook)
-        for b in g.blocks:
-            if b.scope == "main":
-                m = _res_block(g, b, m, hook)
-        m = T.concat_channels([m, bfm])
-        m = _unit(g, "main_bfm_adapter", m, "relu", hook)
-        main = _unit(g, "main_head", m, None, hook)
-        if inference:
-            main = T.clamp01(main)
-        return Outputs(binary_out, main)
-
-    if binary_only:
+    if binary_only and ("save", "binary") not in g.program:
         raise ValueError(f"{g.variant} has no binary branch")
-
-    if g.variant == "block84_singletask":
-        m = bfm
-        for s in range(1, 61):
-            m = _res_block(g, blocks[f"main.s{s:02d}"], m, hook)
-        m = T.concat_channels([m, bfm])
-        m = _unit(g, "mid_bfm_adapter", m, "relu", hook)
-        for s in range(61, 85):
-            m = _res_block(g, blocks[f"main.s{s:02d}"], m, hook)
-        m = T.concat_channels([m, bfm])
-        m = _unit(g, "main_bfm_adapter", m, "relu", hook)
-        main = _unit(g, "main_head", m, None, hook)
-    else:  # edge
-        m = bfm
-        for s in range(1, 29):
-            m = _res_block(g, blocks[f"main.s{s:02d}"], m, hook)
-        m = _unit(g, "transition", m, "relu", hook)
-        for s in range(29, 33):
-            m = _res_block(g, blocks[f"main.s{s:02d}"], m, hook)
-        m = T.concat_channels([m, bfm])
-        m = _unit(g, "main_bfm_adapter", m, "relu", hook)
-        main = _unit(g, "main_head", m, None, hook)
-
-    if inference:
-        main = T.clamp01(main)
-    return Outputs(None, main)
+    x, saved = noisy, {}
+    for step in g.program:
+        if step[0] == "conv":
+            x = _unit(g, step[1], x, step[2], hook)
+        elif step[0] == "block":
+            x = _res_block(g, step[1], x, hook)
+        elif step[0] == "save":
+            saved[step[1]] = x
+            if binary_only and step[1] == "binary":
+                return Outputs(x, None)
+        else:  # concat
+            x = T.concat_channels([x if k == "x" else saved[k] for k in step[1:]])
+    return Outputs(saved.get("binary"), T.clamp01(x) if inference else x)
 
 
 # ---------------------------------------------------------------------------
@@ -314,23 +260,48 @@ def serialize_arrays(header_extra: dict, arrays: dict[str, np.ndarray]) -> bytes
     return b"".join(out)
 
 
+def _array_meta(meta) -> tuple[str, list[int], np.dtype]:
+    """One header entry: a string name, a list of dims >= 0, a numeric dtype."""
+    try:
+        name, shape, tag = meta["name"], meta["shape"], meta["dtype"]
+        dt = np.dtype(tag)
+    except (TypeError, KeyError, ValueError):
+        raise ValueError(f"bad array entry {meta!r} in model container") from None
+    if not (isinstance(name, str) and isinstance(tag, str) and dt.kind in "biuf"
+            and isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape)):
+        raise ValueError(f"bad array entry {meta!r} in model container")
+    return name, shape, dt
+
+
 def deserialize_arrays(blob: bytes) -> tuple[dict, dict[str, np.ndarray]]:
+    """Parse a container; any malformed one raises ValueError."""
     if blob[:8] != _MAGIC:
         raise ValueError("not a model container (bad magic)")
+    if len(blob) < 16:
+        raise ValueError("truncated model container header")
     version, hlen = struct.unpack("<II", blob[8:16])
     if version != _VERSION:
         raise ValueError(f"unsupported container version {version}")
-    header = json.loads(blob[16:16 + hlen].decode("utf-8"))
+    if 16 + hlen > len(blob):
+        raise ValueError("truncated model container header")
+    try:
+        header = json.loads(blob[16:16 + hlen].decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+        raise ValueError(f"model container header is not UTF-8 JSON ({exc})") from None
+    if not isinstance(header, dict) or not isinstance(header.get("arrays"), list):
+        raise ValueError("model container header has no 'arrays' list")
     arrays: dict[str, np.ndarray] = {}
     off = 16 + hlen
     for meta in header["arrays"]:
-        dt = np.dtype(meta["dtype"])
-        n = int(np.prod(meta["shape"])) if meta["shape"] else 1
+        name, shape, dt = _array_meta(meta)
+        if name in arrays:
+            raise ValueError(f"array {name!r} appears twice in model container")
+        n = math.prod(shape)
         nb = n * dt.itemsize
         if off + nb > len(blob):
             raise ValueError("truncated model container")
-        arrays[meta["name"]] = np.frombuffer(blob, dtype=dt, count=n,
-                                             offset=off).reshape(meta["shape"]).copy()
+        arrays[name] = np.frombuffer(blob, dtype=dt, count=n,
+                                     offset=off).reshape(shape).copy()
         off += nb
     if off != len(blob):
         raise ValueError("trailing bytes in model container")
@@ -355,8 +326,7 @@ def load_weights(blob: bytes, expect_variant: Optional[str] = None) -> ModelGrap
     if expect_variant is not None and variant != expect_variant:
         raise ValueError(f"variant mismatch: file has {variant}, expected {expect_variant}")
     policy = ScalingPolicy(header["policy"]["kind"], header["policy"]["alpha"])
-    dtype = np.dtype(header["arrays"][0]["dtype"]) if header["arrays"] else np.float64
-    g = build(variant, policy, header["base_channels"], seed=0, dtype=dtype)
+    g = build(variant, policy, header["base_channels"], seed=0)
     if set(arrays) != set(g.params):
         raise ValueError("parameter names do not match the declared variant")
     for name, arr in arrays.items():

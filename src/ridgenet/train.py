@@ -39,7 +39,9 @@ class TrainingDivergedError(RuntimeError):
 
 
 class Adam:
-    """Plain Adam; updates only the names passed to step()."""
+    """Plain Adam; updates only the names passed to step(). Each parameter
+    keeps its own step count, so one frozen for a while (the main branch
+    during phase 1) starts with the bias correction of its first step."""
 
     def __init__(self, params: dict[str, Tensor4], lr: float = 1e-3,
                  betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8):
@@ -47,22 +49,21 @@ class Adam:
         self.lr = lr
         self.b1, self.b2 = betas
         self.eps = eps
-        self.t = 0
+        self.t = {k: 0 for k in params}
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
 
     def step(self, trainable: set[str]) -> None:
-        self.t += 1
-        c1 = 1.0 - self.b1 ** self.t
-        c2 = 1.0 - self.b2 ** self.t
         for name, p in self.params.items():
             if name not in trainable or p.grad is None:
                 continue
+            self.t[name] += 1
+            t = self.t[name]
             g = p.grad
             self.m[name] = self.b1 * self.m[name] + (1.0 - self.b1) * g
             self.v[name] = self.b2 * self.v[name] + (1.0 - self.b2) * (g * g)
-            mhat = self.m[name] / c1
-            vhat = self.v[name] / c2
+            mhat = self.m[name] / (1.0 - self.b1 ** t)
+            vhat = self.v[name] / (1.0 - self.b2 ** t)
             p.data = p.data - self.lr * mhat / (np.sqrt(vhat) + self.eps)
 
     def zero_grad(self) -> None:
@@ -169,47 +170,32 @@ def train(cfg: TrainConfig, out_dir: str | Path) -> TrainResult:
                      _fmt(terms.get("ssim", 0.0)), _fmt(terms.get("binary", 0.0)),
                      _fmt(terms.get("main", 0.0))])
 
-    # phase 1: binary path only
-    if multitask and cfg.phase1_steps > 0:
-        trainable = graph.trainable_names(1)
-        for _ in range(cfg.phase1_steps):
-            step += 1
-            xb, _, bb = next(stream)
-            outputs = M.forward(graph, xb, binary_only=True)
-            loss, terms = single_task_loss(outputs.binary, bb, weights)
-            loss_val = loss.item()
-            terms = {**terms, "binary": loss_val, "main": 0.0}
-            record(1, loss_val, terms)
-            opt.zero_grad()
-            loss.backward()
-            opt.step(trainable)
-        save_checkpoint(out / "checkpoints" / "phase1", graph, opt, cfg)
-
-    # phase 2: everything
-    trainable = graph.trainable_names(2)
     steps_per_epoch = (n + cfg.batch_size - 1) // cfg.batch_size
     phase2_total = cfg.epochs * steps_per_epoch
     if cfg.max_steps > 0:
         phase2_total = min(phase2_total, cfg.max_steps)
-    for _ in range(phase2_total):
-        step += 1
+    for step in range(1, cfg.phase1_steps + phase2_total + 1):
+        phase = 1 if step <= cfg.phase1_steps else 2
         xb, cb, bb = next(stream)
-        if multitask:
-            outputs = M.forward(graph, xb)
+        outputs = M.forward(graph, xb, binary_only=phase == 1)
+        if phase == 1:  # binary path only
+            loss, terms = single_task_loss(outputs.binary, bb, weights)
+            flat = {**terms, "binary": loss.item(), "main": 0.0}
+        elif multitask:
             loss, terms = total_loss(outputs.binary, bb, outputs.main, cb, weights)
             flat = {"mse": terms["main_mse"], "lap": terms["main_lap"],
                     "ssim": terms["main_ssim"], "binary": terms["binary"],
                     "main": terms["main"]}
         else:
-            outputs = M.forward(graph, xb)
             loss, terms = single_task_loss(outputs.main, cb, weights)
             flat = {**terms, "binary": 0.0, "main": loss.item()}
-        loss_val = loss.item()
-        record(2, loss_val, flat)
+        record(phase, loss.item(), flat)
         opt.zero_grad()
         loss.backward()
-        opt.step(trainable)
-        if cfg.checkpoint_every and step % cfg.checkpoint_every == 0:
+        opt.step(graph.trainable_names(phase))
+        if step == cfg.phase1_steps:
+            save_checkpoint(out / "checkpoints" / "phase1", graph, opt, cfg)
+        elif phase == 2 and cfg.checkpoint_every and step % cfg.checkpoint_every == 0:
             save_checkpoint(out / "checkpoints" / f"step{step:06d}", graph, opt, cfg)
 
     final_dir = out / "checkpoints" / "final"

@@ -1,7 +1,10 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is deliberately slow and simple: explicit loops and
-textbook formulas, sharing no code with the package under test.
+textbook formulas, sharing no code with the package under test. The one
+exception is `model_forward_plain`, which composes the package's tensor
+ops so that it can match `ridgenet.model.forward` bit for bit, but takes
+the network's structure from its description, not from the model code.
 """
 
 from __future__ import annotations
@@ -110,3 +113,56 @@ def numeric_gradient(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
 def rel_error(a: np.ndarray, b: np.ndarray) -> float:
     denom = max(float(np.max(np.abs(a))), float(np.max(np.abs(b))), 1e-8)
     return float(np.max(np.abs(a - b))) / denom
+
+
+def model_forward_plain(params: dict, variant: str, kind: str, alpha: int,
+                        noisy, binary_only: bool = False):
+    """The three variants written out layer by layer from the network
+    description. Returns (binary, main, hook-point names in call order);
+    binary is None without a binary branch, main None when binary_only."""
+    from ridgenet import tensor as T
+
+    names: list[str] = []
+
+    def unit(name, x, act):
+        y = T.conv2d(x, params[f"{name}.w"], params[f"{name}.b"])
+        if act == "relu":
+            y = T.relu(y)
+        elif act == "sigmoid":
+            y = T.sigmoid(y)
+        names.append(name)
+        return y
+
+    def chain(scope, stages, x, act):
+        for s in stages:
+            name = f"{scope}.s{s:02d}"
+            h = unit(f"{name}.conv2", unit(f"{name}.conv1", x, act), None)
+            eps = (alpha - s) / 100.0
+            if kind == "proposed" and eps == 0.0:
+                eps = -0.01
+            x = T.scaled_residual_add(x, h, eps)
+            names.append(f"{name}.out")
+        return x
+
+    bfm = unit("stem2", unit("stem1", noisy, "relu"), "relu")
+    binary = None
+    if variant == "block84_multitask":
+        trunk = chain("shared", range(1, 25), bfm, "relu")
+        b = chain("binary", range(25, 61), trunk, "sigmoid")
+        b = unit("binary_bfm_adapter", T.concat_channels([b, bfm]), "relu")
+        binary = unit("binary_head", b, "sigmoid")
+        if binary_only:
+            return binary, None, names
+        m = unit("main_in_adapter", T.concat_channels([trunk, binary]), "relu")
+        start = 61 if (kind, alpha) == ("all_positive", 85) else 25
+        m = chain("main", range(start, start + 24), m, "relu")
+    elif variant == "block84_singletask":
+        m = chain("main", range(1, 61), bfm, "relu")
+        m = unit("mid_bfm_adapter", T.concat_channels([m, bfm]), "relu")
+        m = chain("main", range(61, 85), m, "relu")
+    else:  # edge: 28 blocks, a transition to half width, 4 more blocks
+        m = chain("main", range(1, 29), bfm, "relu")
+        m = unit("transition", m, "relu")
+        m = chain("main", range(29, 33), m, "relu")
+    m = unit("main_bfm_adapter", T.concat_channels([m, bfm]), "relu")
+    return binary, unit("main_head", m, None), names

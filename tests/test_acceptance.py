@@ -20,6 +20,7 @@ from ridgenet import quantize as Q
 from ridgenet import synth as S
 from ridgenet.cli import main as cli_main
 from ridgenet.config import TrainConfig
+from ridgenet.evaluate import evaluate
 from ridgenet.model import ScalingPolicy
 from ridgenet.pgm import write_pgm
 from ridgenet.tensor import Tensor4
@@ -191,20 +192,6 @@ DESK_NOISE = S.NoiseParams(appearance_prob=0.2, darkness=-2.5,
 DESK_SEED = 3
 
 
-def _mean_psnr_ssim(pred, clean):
-    reports = [MM.metric_report(p[0], c[0]) for p, c in zip(pred, clean)]
-    return (float(np.mean([r.psnr for r in reports])),
-            float(np.mean([r.ssim for r in reports])))
-
-
-def _predict(graph, noisy, batch=8):
-    outs = []
-    for lo in range(0, noisy.shape[0], batch):
-        outs.append(M.forward(graph, Tensor4(noisy[lo:lo + batch]),
-                              inference=True).main.data)
-    return np.concatenate(outs)
-
-
 @pytest.fixture(scope="session")
 def desk(tmp_path_factory):
     """512/64/64 dataset + multitask and single-task runs on one budget."""
@@ -224,16 +211,13 @@ def desk(tmp_path_factory):
     noisy, clean, _ = load_split(manifest, data_root, "test")
     g_mt = load_checkpoint_model(res_mt.checkpoint_dir)
     g_st = load_checkpoint_model(res_st.checkpoint_dir)
-    base_psnr, base_ssim = _mean_psnr_ssim(noisy, clean)
-    mt_pred = _predict(g_mt, noisy)
-    mt_psnr, mt_ssim = _mean_psnr_ssim(mt_pred, clean)
-    st_psnr, st_ssim = _mean_psnr_ssim(_predict(g_st, noisy), clean)
+    base, mt, st = (evaluate(g, noisy, clean) for g in (None, g_mt, g_st))
     return SimpleNamespace(
         root=root, cfg_mt=cfg_mt, res_mt=res_mt, res_st=res_st,
         noisy=noisy, clean=clean, g_mt=g_mt, g_st=g_st,
-        base_psnr=base_psnr, base_ssim=base_ssim,
-        mt_psnr=mt_psnr, mt_ssim=mt_ssim,
-        st_psnr=st_psnr, st_ssim=st_ssim)
+        base_psnr=base.psnr, base_ssim=base.ssim,
+        mt_psnr=mt.psnr, mt_ssim=mt.ssim,
+        st_psnr=st.psnr, st_ssim=st.ssim)
 
 
 @pytest.mark.slow
@@ -272,8 +256,7 @@ def test_criterion_9_quantization(desk):
 
     # weight-only 8-bit on the desk model: <= 1.0 dB PSNR loss
     wq = Q.quantize_model(desk.g_mt, Q.QuantSpec(8, "weight_only"))
-    g_wq = wq.dequantized_graph()
-    wq_psnr, _ = _mean_psnr_ssim(_predict(g_wq, desk.noisy), desk.clean)
+    wq_psnr = evaluate(wq, desk.noisy, desk.clean).psnr
     assert desk.mt_psnr - wq_psnr <= 1.0, \
         f"float {desk.mt_psnr:.3f} dB vs weight-only {wq_psnr:.3f} dB"
 
@@ -282,10 +265,7 @@ def test_criterion_9_quantization(desk):
     calib, _, _ = load_split(manifest, data_root, "train")
     waq = Q.quantize_model(desk.g_mt, Q.QuantSpec(8, "weight_and_activations"),
                            calib[:32])
-    preds = []
-    for lo in range(0, desk.noisy.shape[0], 8):
-        preds.append(Q.quantized_forward(waq, desk.noisy[lo:lo + 8]).main.data)
-    waq_psnr, _ = _mean_psnr_ssim(np.concatenate(preds), desk.clean)
+    waq_psnr = evaluate(waq, desk.noisy, desk.clean).psnr
     assert waq_psnr <= wq_psnr, \
         f"weight+act {waq_psnr:.3f} dB should not beat weight-only {wq_psnr:.3f} dB"
 

@@ -1,5 +1,8 @@
 """Model graph: scaling schedule, architecture audit, forward, container."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -7,7 +10,11 @@ from ridgenet import model as M
 from ridgenet.model import ScalingPolicy
 from ridgenet.tensor import ShapeMismatchError, Tensor4
 
+from oracles import model_forward_plain
+
 PROPOSED = ScalingPolicy("proposed", 24)
+POLICIES = (PROPOSED, ScalingPolicy("all_positive", 61),
+            ScalingPolicy("all_positive", 85))
 
 
 class TestEpsilonSchedule:
@@ -154,6 +161,39 @@ class TestForward:
                                            and ".conv" not in n])
 
 
+class TestForwardOracle:
+    """M.forward against the variants written out by hand, bit for bit."""
+
+    @pytest.mark.parametrize("policy", POLICIES, ids=lambda p: f"{p.kind}{p.alpha}")
+    @pytest.mark.parametrize("variant", M.VARIANTS)
+    def test_matches_plain_forward(self, variant, policy, rng):
+        g = M.build(variant, policy, 8, seed=7)
+        x = Tensor4(rng.random((2, 1, 10, 12)))
+        names = []
+        out = M.forward(g, x, hook=lambda n, t: names.append(n) or t)
+        binary, main, want_names = model_forward_plain(
+            g.params, variant, policy.kind, policy.alpha, x)
+        assert names == want_names
+        assert out.main.data.tobytes() == main.data.tobytes()
+        if binary is None:
+            assert out.binary is None
+            return
+        assert out.binary.data.tobytes() == binary.data.tobytes()
+        names = []
+        only = M.forward(g, x, binary_only=True,
+                         hook=lambda n, t: names.append(n) or t)
+        binary, main, want_names = model_forward_plain(
+            g.params, variant, policy.kind, policy.alpha, x, binary_only=True)
+        assert only.main is None and main is None
+        assert names == want_names
+        assert only.binary.data.tobytes() == binary.data.tobytes()
+
+
+def _container(header, payload: bytes = b"") -> bytes:
+    hb = header if isinstance(header, bytes) else json.dumps(header).encode()
+    return M._MAGIC + struct.pack("<II", 1, len(hb)) + hb + payload
+
+
 class TestContainer:
     def test_roundtrip_bits(self, tmp_path, rng):
         g = M.build("edge", PROPOSED, 8, seed=3)
@@ -197,3 +237,32 @@ class TestContainer:
         blob = M.save_weights(g)
         with pytest.raises(ValueError, match="trailing"):
             M.deserialize_arrays(blob + b"xx")
+
+    @pytest.mark.parametrize("blob,match", [
+        (M._MAGIC + b"\x01", "truncated model container header"),
+        (_container(b"{}")[:-1], "truncated model container header"),
+        (_container([]), "no 'arrays' list"),
+        (_container({"kind": "weights"}), "no 'arrays' list"),
+        (_container(b"\xff\xfe{}"), "not UTF-8 JSON"),
+        (_container(b"{nope"), "not UTF-8 JSON"),
+        (_container({"arrays": [{"name": "a", "shape": [1], "dtype": "<q9"}]},
+                    bytes(8)), "bad array entry"),
+        (_container({"arrays": [{"name": "a", "shape": [1], "dtype": "|O"}]},
+                    bytes(8)), "bad array entry"),
+        (_container({"arrays": [{"name": "a", "shape": [-1], "dtype": "<f8"}]},
+                    bytes(16)), "bad array entry"),
+        (_container({"arrays": [{"name": "a", "shape": "2", "dtype": "<f8"}]},
+                    bytes(16)), "bad array entry"),
+        (_container({"arrays": [7]}), "bad array entry"),
+        (_container({"arrays": [{"shape": [], "dtype": "<f8"}]}, bytes(8)),
+         "bad array entry"),
+        (_container({"arrays": [{"name": "a", "shape": [], "dtype": "<f8"}] * 2},
+                    bytes(16)), "appears twice"),
+    ], ids=["nine_bytes", "short_header", "json_list_header", "missing_arrays",
+            "non_utf8_header", "bad_json", "unknown_dtype", "object_dtype",
+            "negative_dim", "shape_not_list", "entry_not_object", "no_name",
+            "duplicate_name"])
+    def test_malformed_raises_value_error(self, blob, match):
+        with pytest.raises(ValueError, match=match) as info:
+            M.deserialize_arrays(blob)
+        assert type(info.value) is ValueError

@@ -1,10 +1,15 @@
 """Config parsing, Adam, the training loop, traces, and checkpoints."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ridgenet
 from ridgenet import model as M
 from ridgenet.config import ConfigError, TrainConfig, load_config, parse_config_text, render_config
 from ridgenet.tensor import Tensor4
@@ -84,6 +89,19 @@ class TestAdam:
         assert a.data.reshape(()) != 1.0
         assert b.data.reshape(()) == 1.0
 
+    def test_unfrozen_parameter_starts_with_full_step(self):
+        # a parameter frozen for 8 steps (the main branch in phase 1) takes
+        # a first step of lr under a constant gradient, like any first step
+        a = Tensor4(np.ones((1, 1, 1, 1)), requires_grad=True)
+        b = Tensor4(np.ones((1, 1, 1, 1)), requires_grad=True)
+        opt = Adam({"a": a, "b": b}, lr=0.1)
+        for _ in range(8):
+            a.grad = np.ones((1, 1, 1, 1))
+            opt.step({"a"})
+        a.grad = b.grad = np.ones((1, 1, 1, 1))
+        opt.step({"a", "b"})
+        assert 1.0 - b.data.reshape(()) == pytest.approx(0.1, rel=1e-6)
+
 
 class TestLoadSplit:
     def test_shapes_and_range(self, tiny_dataset):
@@ -160,6 +178,24 @@ class TestTrainLoop:
         cfg = tiny_cfg(tiny_dataset, phase1_steps=0, epochs=5, max_steps=3)
         res = train(cfg, tmp_path / "run")
         assert res.steps == 3
+
+    def test_trace_independent_of_blas_threads(self, tiny_dataset, tmp_path):
+        # README promises single-threaded, bit-deterministic runs: a short
+        # run's trace must not depend on the OpenBLAS thread count
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(render_config(tiny_cfg(tiny_dataset, phase1_steps=1, max_steps=1)))
+        src = str(Path(ridgenet.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        traces = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
+            subprocess.run([sys.executable, "-m", "ridgenet.cli", "train",
+                            "--config", str(cfg), "--out", str(out)],
+                           env=env, check=True, capture_output=True)
+            traces.append((out / "trace.csv").read_bytes())
+        assert traces[0].count(b"\n") == 3  # header and two steps
+        assert traces[0] == traces[1]
 
     def test_divergence_aborts(self, tiny_dataset, tmp_path):
         cfg = tiny_cfg(tiny_dataset, learning_rate=1e4, epochs=3,
