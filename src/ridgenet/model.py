@@ -16,6 +16,7 @@ the main branch as guidance.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import struct
@@ -213,23 +214,25 @@ def _res_block(g: ModelGraph, spec: BlockSpec, x: Tensor4,
 def forward(g: ModelGraph, noisy: Tensor4, inference: bool = False,
             binary_only: bool = False, hook: Optional[ActHook] = None) -> Outputs:
     """Run a variant's layer program. Returns (binary, main); binary is None
-    for single-output variants, main is None when binary_only."""
+    for single-output variants, main is None when binary_only. An inference
+    pass records no tape and clamps main to [0,1]."""
     if noisy.shape[1] != 1:
         raise T.ShapeMismatchError(f"expected 1 input channel, got {noisy.shape}")
     if binary_only and ("save", "binary") not in g.program:
         raise ValueError(f"{g.variant} has no binary branch")
-    x, saved = noisy, {}
-    for step in g.program:
-        if step[0] == "conv":
-            x = _unit(g, step[1], x, step[2], hook)
-        elif step[0] == "block":
-            x = _res_block(g, step[1], x, hook)
-        elif step[0] == "save":
-            saved[step[1]] = x
-            if binary_only and step[1] == "binary":
-                return Outputs(x, None)
-        else:  # concat
-            x = T.concat_channels([x if k == "x" else saved[k] for k in step[1:]])
+    with T.no_grad() if inference else contextlib.nullcontext():
+        x, saved = noisy, {}
+        for step in g.program:
+            if step[0] == "conv":
+                x = _unit(g, step[1], x, step[2], hook)
+            elif step[0] == "block":
+                x = _res_block(g, step[1], x, hook)
+            elif step[0] == "save":
+                saved[step[1]] = x
+                if binary_only and step[1] == "binary":
+                    return Outputs(x, None)
+            else:  # concat
+                x = T.concat_channels([x if k == "x" else saved[k] for k in step[1:]])
     return Outputs(saved.get("binary"), T.clamp01(x) if inference else x)
 
 
@@ -318,15 +321,28 @@ def save_weights(g: ModelGraph) -> bytes:
     return serialize_arrays(header, {k: v.data for k, v in g.params.items()})
 
 
+def header_field(header: dict, key: str):
+    """One field of a container header; a missing one raises ValueError."""
+    if key not in header:
+        raise ValueError(f"model container header has no {key!r} field")
+    return header[key]
+
+
+def header_policy(header: dict) -> ScalingPolicy:
+    p = header_field(header, "policy")
+    if not (isinstance(p, dict) and "kind" in p and "alpha" in p):
+        raise ValueError(f"bad policy {p!r} in model container header")
+    return ScalingPolicy(p["kind"], p["alpha"])
+
+
 def load_weights(blob: bytes, expect_variant: Optional[str] = None) -> ModelGraph:
     header, arrays = deserialize_arrays(blob)
     if header.get("kind") != "weights":
         raise ValueError(f"container holds {header.get('kind')!r}, not weights")
-    variant = header["variant"]
+    variant = header_field(header, "variant")
     if expect_variant is not None and variant != expect_variant:
         raise ValueError(f"variant mismatch: file has {variant}, expected {expect_variant}")
-    policy = ScalingPolicy(header["policy"]["kind"], header["policy"]["alpha"])
-    g = build(variant, policy, header["base_channels"], seed=0)
+    g = build(variant, header_policy(header), header_field(header, "base_channels"), seed=0)
     if set(arrays) != set(g.params):
         raise ValueError("parameter names do not match the declared variant")
     for name, arr in arrays.items():

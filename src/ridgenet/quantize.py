@@ -109,10 +109,10 @@ class QuantizedModel:
 
     def dequantized_graph(self) -> ModelGraph:
         g = M.build(self.variant, self.policy, self.base_channels, seed=0)
-        for name in g.params:
-            arr = dequantize_tensor(self.codes[name], self.fractions[name])
-            g.params[name] = Tensor4(arr.reshape(g.params[name].shape),
-                                     requires_grad=False)
+        for name, p in g.params.items():
+            if name not in self.codes or name not in self.fractions:
+                raise ValueError(f"quantized model has no codes or fraction for {name}")
+            p.data = dequantize_tensor(self.codes[name], self.fractions[name]).reshape(p.shape)
         return g
 
 
@@ -226,15 +226,19 @@ def load_quantized(blob: bytes) -> QuantizedModel:
     header, arrays = M.deserialize_arrays(blob)
     if header.get("kind") != "quantized":
         raise ValueError(f"container holds {header.get('kind')!r}, not quantized model")
+
+    def field(key: str):
+        return M.header_field(header, key)
+
     return QuantizedModel(
-        variant=header["variant"],
-        policy=ScalingPolicy(header["policy"]["kind"], header["policy"]["alpha"]),
-        base_channels=header["base_channels"],
-        spec=QuantSpec(header["bit_width"], header["mode"]),
+        variant=field("variant"),
+        policy=M.header_policy(header),
+        base_channels=field("base_channels"),
+        spec=QuantSpec(field("bit_width"), field("mode")),
         codes=arrays,
-        fractions={k: int(v) for k, v in header["fractions"].items()},
-        act_fractions={k: int(v) for k, v in header["act_fractions"].items()},
-        calibration_samples=header["calibration_samples"],
+        fractions={k: int(v) for k, v in field("fractions").items()},
+        act_fractions={k: int(v) for k, v in field("act_fractions").items()},
+        calibration_samples=field("calibration_samples"),
     )
 
 

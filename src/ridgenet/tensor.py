@@ -7,15 +7,39 @@ and sum/mean reductions. Forward and backward are single-threaded and
 bit-deterministic for fixed inputs.
 
 No in-place mutation of tensors on a tape; backward consumes the tape.
+Inside `no_grad()` ops record no tape, so intermediates are freed as soon
+as nothing refers to them.
+
+The grad-mode flag and the conv column buffer are module state, which is
+safe only because the engine is single-threaded. The buffer is reallocated
+whenever a conv needs a different shape, so it never holds more than the
+last conv needed.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from contextlib import contextmanager
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import expit
+
+
+_grad_enabled = True
+_cols: Optional[np.ndarray] = None  # conv column buffer, see _conv_raw
+
+
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Ops inside the block record no tape; the previous mode is restored
+    on exit, also when the block raises."""
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
 
 
 class ShapeMismatchError(ValueError):
@@ -57,7 +81,7 @@ class Tensor4:
     def _from_op(cls, data: np.ndarray, parents: tuple, backward) -> "Tensor4":
         out = cls.__new__(cls)
         out.data = data
-        out.requires_grad = any(p.requires_grad for p in parents)
+        out.requires_grad = _grad_enabled and any(p.requires_grad for p in parents)
         out.grad = None
         out._done = False
         if out.requires_grad:
@@ -172,12 +196,25 @@ def _check_same_shape(a: Tensor4, b: Tensor4, op: str) -> None:
 # convolution
 
 def _conv_raw(x: np.ndarray, w: np.ndarray, ph: int, pw: int) -> np.ndarray:
-    """Cross-correlate (B,Cin,H,W) with (Cout,Cin,kh,kw) after zero padding."""
-    kh, kw = w.shape[2], w.shape[3]
+    """Cross-correlate (B,Cin,H,W) with (Cout,Cin,kh,kw) after zero padding.
+
+    One GEMM of the flattened kernel with the (Cin*kh*kw, B*Ho*Wo) column
+    matrix: the operands, their order and the transposed result layout of
+    einsum("bchwij,ocij->bohw"), so the output bits are the same.
+    """
+    global _cols
+    O, C, kh, kw = w.shape
     if ph or pw:
         x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
     view = sliding_window_view(x, (kh, kw), axis=(2, 3))
-    return np.einsum("bchwij,ocij->bohw", view, w, optimize=True)
+    B, _, Ho, Wo = view.shape[:4]
+    shape = (C, kh, kw, B, Ho, Wo)
+    if _cols is None or _cols.shape != shape or _cols.dtype != x.dtype:
+        _cols = None  # free the old buffer before taking the new one
+        _cols = np.empty(shape, dtype=x.dtype)
+    np.copyto(_cols, view.transpose(1, 4, 5, 0, 2, 3))
+    out = np.dot(w.reshape(O, C * kh * kw), _cols.reshape(C * kh * kw, B * Ho * Wo))
+    return out.reshape(O, B, Ho, Wo).transpose(1, 0, 2, 3)
 
 
 def conv2d(x: Tensor4, w: Tensor4, b: Optional[Tensor4] = None,
@@ -381,5 +418,5 @@ def tmean(x: Tensor4) -> Tensor4:
 
 
 def clamp01(x: Tensor4) -> Tensor4:
-    """Inference-only clamp to [0,1]; not differentiable, drops the tape."""
+    """Inference-only clamp to [0,1]; not differentiable, returns a leaf."""
     return Tensor4(np.clip(x.data, 0.0, 1.0), dtype=x.data.dtype)

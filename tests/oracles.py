@@ -1,10 +1,12 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is deliberately slow and simple: explicit loops and
-textbook formulas, sharing no code with the package under test. The one
-exception is `model_forward_plain`, which composes the package's tensor
-ops so that it can match `ridgenet.model.forward` bit for bit, but takes
-the network's structure from its description, not from the model code.
+textbook formulas, sharing no code with the package under test. Two
+exceptions: `conv_raw_einsum` is the engine's earlier conv kernel, kept as
+the bit-exact reference for the current one, and `model_forward_plain`
+composes the package's tensor ops so that it can match
+`ridgenet.model.forward` bit for bit, but takes the network's structure
+from its description, not from the model code.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 def conv2d_naive(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None,
@@ -34,6 +37,15 @@ def conv2d_naive(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None,
     if b is not None:
         out = out + b.reshape(1, O, 1, 1)
     return out
+
+
+def conv_raw_einsum(x: np.ndarray, w: np.ndarray, ph: int, pw: int) -> np.ndarray:
+    """Cross-correlate (B,Cin,H,W) with (Cout,Cin,kh,kw) after zero padding."""
+    kh, kw = w.shape[2], w.shape[3]
+    if ph or pw:
+        x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    view = sliding_window_view(x, (kh, kw), axis=(2, 3))
+    return np.einsum("bchwij,ocij->bohw", view, w, optimize=True)
 
 
 def mse_naive(x: np.ndarray, y: np.ndarray) -> float:

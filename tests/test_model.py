@@ -2,11 +2,13 @@
 
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ridgenet import model as M
+from ridgenet import tensor as T
 from ridgenet.model import ScalingPolicy
 from ridgenet.tensor import ShapeMismatchError, Tensor4
 
@@ -161,6 +163,58 @@ class TestForward:
                                            and ".conv" not in n])
 
 
+class TestGradMode:
+    """An inference forward records no tape and leaves grad mode as it was."""
+
+    @pytest.fixture()
+    def graph(self):
+        return M.build("block84_multitask", PROPOSED, 8, seed=4)
+
+    def test_outputs_are_leaves_with_taped_bytes(self, graph, rng):
+        x = Tensor4(rng.random((2, 1, 10, 12)))
+        out = M.forward(graph, x, inference=True)
+        taped = M.forward(graph, x)
+        assert taped.main.requires_grad and taped.binary.requires_grad
+        for t in out:
+            assert not t.requires_grad and t._parents == ()
+        assert out.main.data.tobytes() == T.clamp01(taped.main).data.tobytes()
+        assert out.binary.data.tobytes() == taped.binary.data.tobytes()
+
+    def test_mode_restored_after_hook_raises(self, graph, rng):
+        def hook(name, t):
+            raise RuntimeError("hook failed")
+
+        with pytest.raises(RuntimeError, match="hook failed"):
+            M.forward(graph, Tensor4(rng.random((1, 1, 8, 8))), inference=True,
+                      hook=hook)
+        assert T._grad_enabled
+        assert M.forward(graph, Tensor4(rng.random((1, 1, 8, 8)))).main.requires_grad
+
+    def test_training_step_after_inference_fills_grads(self, graph, rng):
+        x = Tensor4(rng.random((1, 1, 8, 8)))
+        M.forward(graph, x, inference=True)
+        T.tmean(M.forward(graph, x).main).backward()
+        assert all(p.grad is not None for p in graph.params.values())
+
+    def test_inference_peak_memory_near_no_tape_forward(self, graph, rng):
+        plain = M.build("block84_multitask", PROPOSED, 8, seed=4)
+        plain.params = {k: Tensor4(p.data) for k, p in graph.params.items()}
+        x = Tensor4(rng.random((2, 1, 24, 40)))
+
+        def peak(run) -> int:
+            run()  # same column-buffer state before each measured call
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        no_tape = peak(lambda: M.forward(plain, x))
+        inference = peak(lambda: M.forward(graph, x, inference=True))
+        assert inference <= 1.2 * no_tape
+
+
 class TestForwardOracle:
     """M.forward against the variants written out by hand, bit for bit."""
 
@@ -221,6 +275,20 @@ class TestContainer:
         M.write_weights(g, p)
         with pytest.raises(ValueError, match="variant mismatch"):
             M.read_weights(p, expect_variant="block84_multitask")
+
+    @pytest.mark.parametrize("field", ["variant", "policy", "base_channels"])
+    def test_missing_header_field(self, field):
+        header, arrays = M.deserialize_arrays(M.save_weights(M.build("edge", PROPOSED, 8)))
+        del header[field]
+        with pytest.raises(ValueError, match=f"no '{field}' field"):
+            M.load_weights(M.serialize_arrays(header, arrays))
+
+    @pytest.mark.parametrize("policy", [{"kind": "proposed"}, {"alpha": 24}, [24]])
+    def test_bad_policy(self, policy):
+        header, arrays = M.deserialize_arrays(M.save_weights(M.build("edge", PROPOSED, 8)))
+        header["policy"] = policy
+        with pytest.raises(ValueError, match="bad policy"):
+            M.load_weights(M.serialize_arrays(header, arrays))
 
     def test_bad_magic(self):
         with pytest.raises(ValueError, match="magic"):

@@ -134,6 +134,25 @@ class TestModelQuantization:
         b = Q.quantized_forward(qm2, batch).main.data
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("field", ["variant", "policy", "base_channels", "bit_width",
+                                       "mode", "fractions", "act_fractions",
+                                       "calibration_samples"])
+    def test_missing_header_field(self, graph, field):
+        qm = Q.quantize_model(graph, Q.QuantSpec(8, "weight_only"))
+        header, codes = M.deserialize_arrays(Q.save_quantized(qm))
+        del header[field]
+        with pytest.raises(ValueError, match=f"no '{field}' field"):
+            Q.load_quantized(M.serialize_arrays(header, codes))
+
+    @pytest.mark.parametrize("table", ["codes", "fractions"])
+    def test_missing_tensor_entry(self, graph, table):
+        qm = Q.quantize_model(graph, Q.QuantSpec(8, "weight_only"))
+        header, codes = M.deserialize_arrays(Q.save_quantized(qm))
+        del (codes if table == "codes" else header["fractions"])["main_head.w"]
+        loaded = Q.load_quantized(M.serialize_arrays(header, codes))
+        with pytest.raises(ValueError, match="main_head.w"):
+            loaded.dequantized_graph()
+
     def test_wrong_container_kind(self, graph):
         blob = M.save_weights(graph)
         with pytest.raises(ValueError):

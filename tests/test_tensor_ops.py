@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from ridgenet import tensor as T
 from ridgenet.tensor import Tensor4
 
-from oracles import conv2d_naive
+from oracles import conv2d_naive, conv_raw_einsum
 
 
 def t(arr, rg=False):
@@ -70,6 +70,47 @@ class TestConvForward:
         with pytest.raises(T.ShapeMismatchError):
             T.conv2d(t(np.zeros((1, 1, 2, 2))), t(np.zeros((1, 1, 3, 3))),
                      padding="valid")
+
+
+def _conv_and_gx(x, w, padding):
+    """conv2d's output, the input gradient it passes back for a random
+    upstream gradient g, and g."""
+    xt = t(x, rg=True)
+    out = T.conv2d(xt, t(w), padding=padding)
+    g = np.random.default_rng(0).normal(size=out.shape)
+    T.tsum(T.mul(out, t(g))).backward()  # d/d(out) is exactly g
+    return out.data, xt.grad, g
+
+
+class TestConvKernelOracle:
+    """The column-buffer GEMM kernel against the earlier einsum kernel, bit
+    for bit, for the forward output and the input gradient."""
+
+    @pytest.mark.parametrize("padding", ["same", "valid"])
+    @pytest.mark.parametrize("batch,cin,cout", [(1, 1, 16), (8, 16, 1), (1, 32, 16),
+                                                (8, 1, 1), (8, 16, 16)])
+    def test_forward_and_gx_match_einsum(self, rng, padding, batch, cin, cout):
+        for k in (1, 3, 5):
+            h, w_ = (int(v) for v in rng.integers(k, 20, size=2))
+            x = rng.normal(size=(batch, cin, h, w_))
+            w = rng.normal(size=(cout, cin, k, k))
+            p = k // 2 if padding == "same" else 0
+            out, gx, g = _conv_and_gx(x, w, padding)
+            assert np.array_equal(out, conv_raw_einsum(x, w, p, p))
+            w_rot = np.ascontiguousarray(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+            assert np.array_equal(gx, conv_raw_einsum(g, w_rot, k - 1 - p, k - 1 - p))
+
+    def test_buffer_follows_every_shape_change(self, rng):
+        kept = []
+        for batch, cin in ((4, 16), (4, 32), (4, 16), (1, 16)):
+            x = rng.normal(size=(batch, cin, 12, 20))
+            w = rng.normal(size=(16, cin, 3, 3))
+            out = T.conv2d(t(x), t(w))
+            # reallocated on every shape change, so batch 1 drops the batch-4 buffer
+            assert T._cols.shape == (cin, 3, 3, batch, 12, 20)
+            kept.append((out.data, conv_raw_einsum(x, w, 1, 1)))
+        for got, want in kept:  # later convs did not overwrite earlier outputs
+            assert np.array_equal(got, want)
 
 
 class TestElementwise:
