@@ -321,28 +321,45 @@ def save_weights(g: ModelGraph) -> bytes:
     return serialize_arrays(header, {k: v.data for k, v in g.params.items()})
 
 
-def header_field(header: dict, key: str):
-    """One field of a container header; a missing one raises ValueError."""
+_FIELD_KINDS = {str: "a string", int: "an integer", dict: "a map of names to integers"}
+
+
+def header_field(header: dict, key: str, kind: type):
+    """One field of a container header, of the JSON type `kind` (str, int,
+    or dict for a map of names to integers); a missing field or one of
+    another type raises ValueError naming it."""
     if key not in header:
         raise ValueError(f"model container header has no {key!r} field")
-    return header[key]
+    v = header[key]
+    if kind is dict:
+        ok = type(v) is dict and all(type(k) is str and type(n) is int
+                                     for k, n in v.items())
+    else:
+        ok = type(v) is kind
+    if not ok:
+        raise ValueError(f"model container header field {key!r} must be "
+                         f"{_FIELD_KINDS[kind]}, got {v!r}")
+    return v
 
 
 def header_policy(header: dict) -> ScalingPolicy:
-    p = header_field(header, "policy")
-    if not (isinstance(p, dict) and "kind" in p and "alpha" in p):
+    if "policy" not in header:
+        raise ValueError("model container header has no 'policy' field")
+    p = header["policy"]
+    if not (type(p) is dict and "kind" in p and "alpha" in p):
         raise ValueError(f"bad policy {p!r} in model container header")
-    return ScalingPolicy(p["kind"], p["alpha"])
+    return ScalingPolicy(p["kind"], header_field(p, "alpha", int))
 
 
 def load_weights(blob: bytes, expect_variant: Optional[str] = None) -> ModelGraph:
     header, arrays = deserialize_arrays(blob)
     if header.get("kind") != "weights":
         raise ValueError(f"container holds {header.get('kind')!r}, not weights")
-    variant = header_field(header, "variant")
+    variant = header_field(header, "variant", str)
     if expect_variant is not None and variant != expect_variant:
         raise ValueError(f"variant mismatch: file has {variant}, expected {expect_variant}")
-    g = build(variant, header_policy(header), header_field(header, "base_channels"), seed=0)
+    g = build(variant, header_policy(header), header_field(header, "base_channels", int),
+              seed=0)
     if set(arrays) != set(g.params):
         raise ValueError("parameter names do not match the declared variant")
     for name, arr in arrays.items():

@@ -227,18 +227,18 @@ def load_quantized(blob: bytes) -> QuantizedModel:
     if header.get("kind") != "quantized":
         raise ValueError(f"container holds {header.get('kind')!r}, not quantized model")
 
-    def field(key: str):
-        return M.header_field(header, key)
+    def field(key: str, kind: type):
+        return M.header_field(header, key, kind)
 
     return QuantizedModel(
-        variant=field("variant"),
+        variant=field("variant", str),
         policy=M.header_policy(header),
-        base_channels=field("base_channels"),
-        spec=QuantSpec(field("bit_width"), field("mode")),
+        base_channels=field("base_channels", int),
+        spec=QuantSpec(field("bit_width", int), field("mode", str)),
         codes=arrays,
-        fractions={k: int(v) for k, v in field("fractions").items()},
-        act_fractions={k: int(v) for k, v in field("act_fractions").items()},
-        calibration_samples=field("calibration_samples"),
+        fractions=field("fractions", dict),
+        act_fractions=field("act_fractions", dict),
+        calibration_samples=field("calibration_samples", int),
     )
 
 

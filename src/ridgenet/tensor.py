@@ -11,9 +11,10 @@ Inside `no_grad()` ops record no tape, so intermediates are freed as soon
 as nothing refers to them.
 
 The grad-mode flag and the conv column buffer are module state, which is
-safe only because the engine is single-threaded. The buffer is reallocated
-whenever a conv needs a different shape, so it never holds more than the
-last conv needed.
+safe only because the engine is single-threaded. The forward pass fills the
+buffer, and the backward pass refills the same buffer for each conv's kernel
+gradient and then for its input gradient. It is reallocated whenever a conv
+needs a different shape, so it never holds more than the last conv needed.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from scipy.special import expit
 
 
 _grad_enabled = True
-_cols: Optional[np.ndarray] = None  # conv column buffer, see _conv_raw
+_cols: Optional[np.ndarray] = None  # conv column buffer, see _columns
 
 
 @contextmanager
@@ -195,25 +196,33 @@ def _check_same_shape(a: Tensor4, b: Tensor4, op: str) -> None:
 # ---------------------------------------------------------------------------
 # convolution
 
+def _columns(xp: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """Fill the column buffer with the kh×kw windows of the padded (B,C,H,W)
+    array and return it as the (C*kh*kw, B*Ho*Wo) matrix."""
+    global _cols
+    view = sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    B, C, Ho, Wo = view.shape[:4]
+    shape = (C, kh, kw, B, Ho, Wo)
+    if _cols is None or _cols.shape != shape or _cols.dtype != xp.dtype:
+        _cols = None  # free the old buffer before taking the new one
+        _cols = np.empty(shape, dtype=xp.dtype)
+    np.copyto(_cols, view.transpose(1, 4, 5, 0, 2, 3))
+    return _cols.reshape(C * kh * kw, B * Ho * Wo)
+
+
 def _conv_raw(x: np.ndarray, w: np.ndarray, ph: int, pw: int) -> np.ndarray:
     """Cross-correlate (B,Cin,H,W) with (Cout,Cin,kh,kw) after zero padding.
 
-    One GEMM of the flattened kernel with the (Cin*kh*kw, B*Ho*Wo) column
-    matrix: the operands, their order and the transposed result layout of
+    One GEMM of the flattened kernel with the column matrix: the operands,
+    their order and the transposed result layout of
     einsum("bchwij,ocij->bohw"), so the output bits are the same.
     """
-    global _cols
     O, C, kh, kw = w.shape
+    B, _, H, W = x.shape
     if ph or pw:
         x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    view = sliding_window_view(x, (kh, kw), axis=(2, 3))
-    B, _, Ho, Wo = view.shape[:4]
-    shape = (C, kh, kw, B, Ho, Wo)
-    if _cols is None or _cols.shape != shape or _cols.dtype != x.dtype:
-        _cols = None  # free the old buffer before taking the new one
-        _cols = np.empty(shape, dtype=x.dtype)
-    np.copyto(_cols, view.transpose(1, 4, 5, 0, 2, 3))
-    out = np.dot(w.reshape(O, C * kh * kw), _cols.reshape(C * kh * kw, B * Ho * Wo))
+    Ho, Wo = H + 2 * ph - kh + 1, W + 2 * pw - kw + 1
+    out = np.dot(w.reshape(O, C * kh * kw), _columns(x, kh, kw))
     return out.reshape(O, B, Ho, Wo).transpose(1, 0, 2, 3)
 
 
@@ -253,8 +262,10 @@ def conv2d(x: Tensor4, w: Tensor4, b: Optional[Tensor4] = None,
         if w.requires_grad:
             xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw))) \
                 if (ph or pw) else x.data
-            view = sliding_window_view(xp, (kh, kw), axis=(2, 3))
-            gw = np.einsum("bchwij,bohw->ocij", view, g, optimize=True)
+            g2 = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(-1, cout)
+            # a fresh GEMM output, so the gx conv below may refill the buffer
+            gw = np.dot(_columns(xp, kh, kw), g2).reshape(
+                cin, kh, kw, cout).transpose(3, 0, 1, 2)
         if x.requires_grad:
             # grad w.r.t. input = correlation of the upstream gradient with
             # the spatially flipped, channel-swapped kernel

@@ -1,12 +1,12 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is deliberately slow and simple: explicit loops and
-textbook formulas, sharing no code with the package under test. Two
-exceptions: `conv_raw_einsum` is the engine's earlier conv kernel, kept as
-the bit-exact reference for the current one, and `model_forward_plain`
-composes the package's tensor ops so that it can match
-`ridgenet.model.forward` bit for bit, but takes the network's structure
-from its description, not from the model code.
+textbook formulas, sharing no code with the package under test. Three
+exceptions: `conv_raw_einsum` and `conv_weight_grad_einsum` are the
+engine's earlier conv kernels, kept as the references for the current ones,
+and `model_forward_plain` composes the package's tensor ops so that it can
+match `ridgenet.model.forward` bit for bit, but takes the network's
+structure from its description, not from the model code.
 """
 
 from __future__ import annotations
@@ -46,6 +46,16 @@ def conv_raw_einsum(x: np.ndarray, w: np.ndarray, ph: int, pw: int) -> np.ndarra
         x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
     view = sliding_window_view(x, (kh, kw), axis=(2, 3))
     return np.einsum("bchwij,ocij->bohw", view, w, optimize=True)
+
+
+def conv_weight_grad_einsum(x: np.ndarray, g: np.ndarray, kh: int, kw: int,
+                            ph: int, pw: int) -> np.ndarray:
+    """Gradient of the (Cout,Cin,kh,kw) kernel for input (B,Cin,H,W) and
+    upstream gradient (B,Cout,Ho,Wo), after zero padding."""
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw))) \
+        if (ph or pw) else x
+    view = sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    return np.einsum("bchwij,bohw->ocij", view, g, optimize=True)
 
 
 def mse_naive(x: np.ndarray, y: np.ndarray) -> float:

@@ -290,6 +290,17 @@ class TestContainer:
         with pytest.raises(ValueError, match="bad policy"):
             M.load_weights(M.serialize_arrays(header, arrays))
 
+    @pytest.mark.parametrize("field,value", [
+        ("variant", 7), ("base_channels", "8"), ("base_channels", 8.0),
+        ("base_channels", True), ("alpha", "24"),
+    ], ids=["variant_int", "base_channels_str", "base_channels_float",
+            "base_channels_bool", "alpha_str"])
+    def test_mistyped_header_field(self, field, value):
+        header, arrays = M.deserialize_arrays(M.save_weights(M.build("edge", PROPOSED, 8)))
+        (header["policy"] if field == "alpha" else header)[field] = value
+        with pytest.raises(ValueError, match=f"field '{field}' must be"):
+            M.load_weights(M.serialize_arrays(header, arrays))
+
     def test_bad_magic(self):
         with pytest.raises(ValueError, match="magic"):
             M.load_weights(b"NOTMAGIC" + bytes(64))

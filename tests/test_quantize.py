@@ -144,6 +144,20 @@ class TestModelQuantization:
         with pytest.raises(ValueError, match=f"no '{field}' field"):
             Q.load_quantized(M.serialize_arrays(header, codes))
 
+    @pytest.mark.parametrize("field,value", [
+        ("variant", ["edge"]), ("mode", 8), ("base_channels", "8"), ("bit_width", "8"),
+        ("calibration_samples", 4.0), ("alpha", "24"), ("fractions", [3, 4]),
+        ("fractions", {"main_head.w": "3"}), ("act_fractions", {"input": 7.5}),
+    ], ids=["variant_list", "mode_int", "base_channels_str", "bit_width_str",
+            "calibration_samples_float", "alpha_str", "fractions_list",
+            "fractions_str_value", "act_fractions_float_value"])
+    def test_mistyped_header_field(self, graph, field, value):
+        qm = Q.quantize_model(graph, Q.QuantSpec(8, "weight_only"))
+        header, codes = M.deserialize_arrays(Q.save_quantized(qm))
+        (header["policy"] if field == "alpha" else header)[field] = value
+        with pytest.raises(ValueError, match=f"field '{field}' must be"):
+            Q.load_quantized(M.serialize_arrays(header, codes))
+
     @pytest.mark.parametrize("table", ["codes", "fractions"])
     def test_missing_tensor_entry(self, graph, table):
         qm = Q.quantize_model(graph, Q.QuantSpec(8, "weight_only"))

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from ridgenet import tensor as T
 from ridgenet.tensor import Tensor4
 
-from oracles import conv2d_naive, conv_raw_einsum
+from oracles import conv2d_naive, conv_raw_einsum, conv_weight_grad_einsum, rel_error
 
 
 def t(arr, rg=False):
@@ -72,19 +72,32 @@ class TestConvForward:
                      padding="valid")
 
 
-def _conv_and_gx(x, w, padding):
-    """conv2d's output, the input gradient it passes back for a random
-    upstream gradient g, and g."""
-    xt = t(x, rg=True)
-    out = T.conv2d(xt, t(w), padding=padding)
+def _conv_grads(x, w, padding):
+    """conv2d's output, the input and kernel gradients it passes back for a
+    random upstream gradient g, and g."""
+    xt, wt = t(x, rg=True), t(w, rg=True)
+    out = T.conv2d(xt, wt, padding=padding)
     g = np.random.default_rng(0).normal(size=out.shape)
     T.tsum(T.mul(out, t(g))).backward()  # d/d(out) is exactly g
-    return out.data, xt.grad, g
+    return out.data, xt.grad, wt.grad, g
+
+
+def _rot(w):
+    """The kernel of the input gradient: flipped in space, channels swapped."""
+    return np.ascontiguousarray(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
 
 
 class TestConvKernelOracle:
-    """The column-buffer GEMM kernel against the earlier einsum kernel, bit
-    for bit, for the forward output and the input gradient."""
+    """The column-buffer GEMM kernels against the earlier einsum kernels:
+    bit for bit for the forward output and the input gradient, and for the
+    kernel gradient of the model's own training layers.
+
+    The kernel gradient is one GEMM of the column matrix with the upstream
+    gradient. Where the kernel has one output channel (`binary_head`,
+    `main_head`) einsum takes a matrix-vector path with the operands in the
+    other order, so the sums run in another order and the last bits differ
+    (about 4e-15 relative); other shapes may take other einsum paths too,
+    so elsewhere the gradient is held to 1e-13 relative."""
 
     @pytest.mark.parametrize("padding", ["same", "valid"])
     @pytest.mark.parametrize("batch,cin,cout", [(1, 1, 16), (8, 16, 1), (1, 32, 16),
@@ -95,10 +108,32 @@ class TestConvKernelOracle:
             x = rng.normal(size=(batch, cin, h, w_))
             w = rng.normal(size=(cout, cin, k, k))
             p = k // 2 if padding == "same" else 0
-            out, gx, g = _conv_and_gx(x, w, padding)
+            out, gx, _, g = _conv_grads(x, w, padding)
             assert np.array_equal(out, conv_raw_einsum(x, w, p, p))
-            w_rot = np.ascontiguousarray(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
-            assert np.array_equal(gx, conv_raw_einsum(g, w_rot, k - 1 - p, k - 1 - p))
+            assert np.array_equal(gx, conv_raw_einsum(g, _rot(w), k - 1 - p, k - 1 - p))
+
+    @pytest.mark.parametrize("padding", ["same", "valid"])
+    @pytest.mark.parametrize("batch,cin,cout", [(1, 1, 16), (4, 32, 1), (8, 16, 1),
+                                                (1, 32, 16), (8, 1, 1), (4, 16, 16)])
+    def test_gw_matches_einsum(self, rng, padding, batch, cin, cout):
+        for k in (1, 3, 5, 11):
+            h, w_ = (int(v) for v in rng.integers(k, k + 9, size=2))
+            x = rng.normal(size=(batch, cin, h, w_))
+            w = rng.normal(size=(cout, cin, k, k))
+            p = k // 2 if padding == "same" else 0
+            _, _, gw, g = _conv_grads(x, w, padding)
+            assert rel_error(gw, conv_weight_grad_einsum(x, g, k, k, p, p)) <= 1e-13
+
+    @pytest.mark.parametrize("cin,cout", [(16, 16), (32, 16), (1, 16), (16, 1), (32, 1)])
+    def test_gw_of_training_layers(self, rng, cin, cout):
+        # batch 4 of 36x176 strips, 3x3 kernels, same padding
+        x = rng.normal(size=(4, cin, 36, 176))
+        _, _, gw, g = _conv_grads(x, rng.normal(size=(cout, cin, 3, 3)), "same")
+        want = conv_weight_grad_einsum(x, g, 3, 3, 1, 1)
+        if cout > 1:
+            assert np.array_equal(gw, want)
+        else:  # the heads: see the class docstring
+            assert rel_error(gw, want) <= 1e-13
 
     def test_buffer_follows_every_shape_change(self, rng):
         kept = []
@@ -111,6 +146,32 @@ class TestConvKernelOracle:
             kept.append((out.data, conv_raw_einsum(x, w, 1, 1)))
         for got, want in kept:  # later convs did not overwrite earlier outputs
             assert np.array_equal(got, want)
+
+    def test_backward_refills_do_not_touch_gradients(self, rng):
+        # 16 -> 32 -> 16 -> 16 -> 1 channels on one tape: each conv's
+        # backward fills the buffer for its kernel gradient, then refills it
+        # for its input gradient, in the same shape for the 16 -> 16 conv
+        B, H, W = 4, 12, 20
+        ws = [rng.normal(size=s) for s in ((32, 16, 3, 3), (16, 32, 3, 3), (16, 16, 3, 3),
+                                           (1, 16, 3, 3))]
+        xs = [rng.normal(size=(B, 16, H, W))]
+        for w in ws:
+            xs.append(conv_raw_einsum(xs[-1], w, 1, 1))
+        g = rng.normal(size=xs[-1].shape)
+        params = [t(w, rg=True) for w in ws]
+        y = t(xs[0])
+        for p in params:
+            y = T.conv2d(y, p)
+        T.tsum(T.mul(y, t(g))).backward()
+        gs = [g]
+        for w in ws[:0:-1]:  # upstream gradients, head first
+            gs.append(conv_raw_einsum(gs[-1], _rot(w), 1, 1))
+        for p, x, gi in zip(params, xs, gs[::-1]):
+            assert rel_error(p.grad, conv_weight_grad_einsum(x, gi, 3, 3, 1, 1)) <= 1e-13
+            assert not np.shares_memory(p.grad, T._cols)
+        # the input needs no gradient, so the last fill was the first
+        # conv's kernel gradient
+        assert T._cols.shape == (16, 3, 3, B, H, W)
 
 
 class TestElementwise:
